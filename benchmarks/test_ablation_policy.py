@@ -34,8 +34,9 @@ def replay(cluster, apps, policy_factory, backfill=False):
         requests = generator.generate(8, replica=replica)
         manager = SystemController(cluster,
                                    policy=policy_factory())
-        summaries.append(run_experiment(manager, requests, apps,
-                                        backfill=backfill).summary)
+        summaries.append(run_experiment(
+            manager, requests, apps,
+            discipline="backfill" if backfill else "fifo").summary)
     return summaries
 
 

@@ -2,7 +2,7 @@
 
 Not a paper figure: the paper evaluates on a handful of boards.  This
 bench is PR 10's acceptance gate for the batched event engine -- the
-struct-of-arrays :class:`~repro.sim.events.ArrayEventQueue`, the
+struct-of-arrays :class:`~repro.sim.events.EventQueue`, the
 arrival-cohort admission path, and the deploy-path rework that rides
 along (round-1 placement built straight off the free-count vector,
 memoized relocation validation, bulk resource-DB mutation, and a
@@ -21,8 +21,9 @@ GC pause across the event loop):
   the admit-share check, keeping the gate minutes-cheap);
 - **admit share** -- under saturation the cohort path must spend a
   smaller fraction of its wall in ``sim.admit`` than the heapq oracle
-  (shares, unlike raw walls, survive machine speed differences), with
-  byte-identical results.
+  (``HeapEventQueue`` from ``tests/oracles.py``; shares, unlike raw
+  walls, survive machine speed differences), with byte-identical
+  results.
 
 Results land in ``benchmarks/results/event_engine.txt`` and the
 ``BENCH_perf.json`` trajectory file at the repo root.
@@ -42,6 +43,7 @@ from repro.obs.profile import PhaseProfiler
 from repro.runtime.controller import SystemController
 from repro.sim.experiment import compile_benchmarks, run_experiment
 from repro.sim.workload import WorkloadGenerator
+from tests.oracles import heap_event_engine
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 ANCHOR = "pr10-event-engine"
@@ -81,8 +83,13 @@ def _drive(num_boards: int, num_requests: int,
         7, num_requests=num_requests,
         mean_interarrival_s=mean_interarrival_s)
     t0 = time.perf_counter()
-    result = run_experiment(controller, requests, apps,
-                            engine=engine, profile=profile)
+    if engine == "heapq":
+        with heap_event_engine():
+            result = run_experiment(controller, requests, apps,
+                                    profile=profile)
+    else:
+        result = run_experiment(controller, requests, apps,
+                                profile=profile)
     wall = time.perf_counter() - t0
     return result, controller, wall
 

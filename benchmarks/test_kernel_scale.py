@@ -9,9 +9,9 @@ and ring span/contention math:
   workload in under 60 s of wall clock (the experiment loop alone,
   setup excluded), which the per-request dict walks of the scalar
   kernel could not approach;
-- **differential** -- at 64 boards the array kernel and the scalar
-  oracle produce byte-identical traces and summaries (the counters are
-  equal by construction, so "modulo perf counters" is vacuous here);
+- **differential** -- at 64 boards the policy and the scalar oracle
+  (``ScalarPolicy`` from ``tests/oracles.py``) produce byte-identical
+  traces and summaries (search counters included);
 - **reduced regression** -- a 256-board/20k-request configuration is
   timed against the committed ``BENCH_perf.json`` baseline with a wide
   tolerance band; the ``perf-regression`` CI job runs only this and
@@ -36,6 +36,7 @@ from repro.runtime.controller import SystemController
 from repro.runtime.policy import CommunicationAwarePolicy
 from repro.sim.experiment import compile_benchmarks, run_experiment
 from repro.sim.workload import WorkloadGenerator
+from tests.oracles import ScalarPolicy
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 ANCHOR = "pr7-array-kernel"
@@ -138,27 +139,26 @@ def test_reduced_scale_regression():
 
 
 def test_64_board_differential():
-    """Array kernel vs scalar oracle, end to end at 64 boards.
+    """Policy vs scalar oracle, end to end at 64 boards.
 
     Exhaustive enumeration is infeasible at this size; the scalar
-    branch-and-bound is the oracle.  Both kernels must produce
-    byte-identical traces (search counters included -- the array scan
-    takes the same prune decisions by construction) and equal
+    branch-and-bound, round 1 included, is the oracle.  Both must
+    produce byte-identical traces (search counters included -- the
+    vectorized round 1 takes the same prune decisions) and equal
     summaries; the untraced run (which engages the controller's
     ``allocate_fast`` path) must match them too."""
     cluster = _big_cluster(64)
     apps = compile_benchmarks(cluster)
 
-    def traced(kernel: str):
+    def traced(policy):
         tracer = Tracer()
         result, _, _ = _drive(
-            64, 2_000, 0.2,
-            policy=CommunicationAwarePolicy(kernel=kernel),
+            64, 2_000, 0.2, policy=policy,
             tracer=tracer, apps=apps, cluster=cluster)
         return tracer.to_jsonl(), result.summary
 
-    array_trace, array_summary = traced("array")
-    scalar_trace, scalar_summary = traced("scalar")
+    array_trace, array_summary = traced(CommunicationAwarePolicy())
+    scalar_trace, scalar_summary = traced(ScalarPolicy())
     assert array_trace == scalar_trace
     assert array_summary == scalar_summary
 

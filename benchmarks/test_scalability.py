@@ -13,9 +13,10 @@ Two configurations of the same controller are compared:
   transition, the ring network memoizes distances and span costs, and
   ``CommunicationAwarePolicy`` prunes its subset search with capacity
   and span lower bounds that provably never change the chosen subset;
-- **legacy rescan** (``RescanResourceDB`` + ``prune=False``): the
-  original full-scan queries and exhaustive ``C(n, k)`` subset
-  enumeration, retained as the reference implementation.
+- **legacy rescan** (``RescanResourceDB`` + ``ExhaustivePolicy`` from
+  ``tests/oracles.py``): the original full-scan queries and exhaustive
+  ``C(n, k)`` subset enumeration, retained as the reference
+  implementation.
 
 At 4 boards both configurations produce bit-identical summaries (the
 equivalence tests under ``tests/`` pin that); at 64 boards the legacy
@@ -26,6 +27,7 @@ on its cost.  The speedup asserted here is therefore conservative.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -50,7 +52,9 @@ NEW_BUDGET_S = 60.0
 LEGACY_TIMEOUT_S = 90.0
 MIN_SPEEDUP = 10.0
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+_ROOT = Path(__file__).resolve().parent.parent
+#: the child imports ``repro`` and the test-side oracles
+_CHILD_PATH = os.pathsep.join([str(_ROOT / "src"), str(_ROOT)])
 
 #: the legacy configuration, timed in a child so a combinatorial blowup
 #: cannot hang the bench; prints the wall seconds of the event loop
@@ -60,10 +64,9 @@ from repro.cluster.cluster import make_cluster
 from repro.fabric.devices import make_xcvu37p
 from repro.fabric.partition import PartitionPlanner
 from repro.runtime.controller import SystemController
-from repro.runtime.policy import CommunicationAwarePolicy
-from repro.runtime.resource_db import RescanResourceDB
 from repro.sim.experiment import compile_benchmarks, run_experiment
 from repro.sim.workload import WorkloadGenerator
+from tests.oracles import ExhaustivePolicy, RescanResourceDB
 
 boards, n, inter = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
 partition = PartitionPlanner(make_xcvu37p()).plan()
@@ -71,8 +74,7 @@ cluster = make_cluster(boards, partition=partition)
 apps = compile_benchmarks(cluster)
 requests = WorkloadGenerator(seed=2020).generate(
     int(sys.argv[4]), num_requests=n, mean_interarrival_s=inter)
-controller = SystemController(
-    cluster, policy=CommunicationAwarePolicy(prune=False))
+controller = SystemController(cluster, policy=ExhaustivePolicy())
 controller.resource_db = RescanResourceDB(cluster)
 t0 = time.perf_counter()
 run_experiment(controller, requests, apps)
@@ -106,7 +108,7 @@ def _run_legacy(boards: int, num_requests: int,
             [sys.executable, "-c", _LEGACY_SCRIPT, str(boards),
              str(num_requests), str(interarrival), str(WORKLOAD_SET)],
             capture_output=True, text=True, timeout=LEGACY_TIMEOUT_S,
-            env={"PYTHONPATH": str(_SRC)}, check=True)
+            env={"PYTHONPATH": _CHILD_PATH}, check=True)
         return float(proc.stdout.strip()), False
     except subprocess.TimeoutExpired:
         return LEGACY_TIMEOUT_S, True

@@ -22,10 +22,8 @@ branch-and-bound over the same key ``(span, leftover, subset)``:
   partial span can already exceed the incumbent's);
 - pruning only discards subsets whose key is *strictly* greater than the
   incumbent, so the minimum -- including its lexicographic tie-break --
-  is the one the exhaustive enumeration would have produced.
-  ``CommunicationAwarePolicy(prune=False)`` keeps the original loop as
-  the oracle for the equivalence property test and the "before" code
-  path of the scalability benchmark.
+  is the one the exhaustive enumeration would have produced (the
+  equivalence property tests replay that enumeration as their oracle).
 
 Two deliberately worse policies are provided for the ablation benches:
 ``FirstFitPolicy`` ignores board boundaries entirely and ``SpreadPolicy``
@@ -66,64 +64,20 @@ class AllocationPolicy(Protocol):
         ...
 
 
-#: memoized flow-adjacency per CompiledApp instance.  The profiler put
-#: ``split_virtual_blocks`` at the top of the surviving hot-path
-#: profile, and most of its time was rebuilding the same adjacency:
-#: every deploy attempt of every queued request re-splits the same few
-#: artifacts.  The adjacency (and the seed scores derived from it) is a
-#: pure function of ``app.flows``, so it is built once per app object.
-#: Keyed by ``id()`` with the app held strongly and identity-checked on
-#: lookup, so a recycled id can never alias a different artifact; the
-#: LRU bound keeps long campaigns from pinning dead apps.
-_ADJACENCY_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_ADJACENCY_CACHE_MAX = 64
-#: cold constructions, ever (the equivalence test pins cache reuse)
-_adjacency_builds = 0
-
-#: sentinel leftover for boards that fail the round-1 fit test
-#: (hoisted: ``np.iinfo`` lookups are surprisingly costly per call)
-_I64_MAX = np.iinfo(np.int64).max
-
-
-def _flow_adjacency(app: CompiledApp):
-    """``(adjacency, base_flow)`` for ``app``, memoized per instance."""
-    global _adjacency_builds
-    key = id(app)
-    entry = _ADJACENCY_CACHE.get(key)
-    if entry is not None and entry[0] is app:
-        _ADJACENCY_CACHE.move_to_end(key)
-        return entry[1], entry[2]
-    _adjacency_builds += 1
-    n = app.num_blocks
-    # symmetric flow-adjacency list between virtual blocks (self-flows
-    # never contribute to a cut, so they are dropped)
-    adjacency: dict[int, list[tuple[int, float]]] = {
-        vb: [] for vb in range(n)}
-    weight: dict[tuple[int, int], float] = {}
-    for (src, dst), bits in app.flows.items():
-        if src == dst:
-            continue
-        pair = (min(src, dst), max(src, dst))
-        weight[pair] = weight.get(pair, 0.0) + bits
-    for (a, b), w in weight.items():
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
-    # flow from each block into the all-unassigned set (seed scores;
-    # callers copy before mutating)
-    base_flow = {vb: sum(w for _, w in adjacency[vb])
-                 for vb in range(n)}
-    _ADJACENCY_CACHE[key] = (app, adjacency, base_flow)
-    while len(_ADJACENCY_CACHE) > _ADJACENCY_CACHE_MAX:
-        _ADJACENCY_CACHE.popitem(last=False)
-    return adjacency, base_flow
-
-
-#: per-app state of the vectorized split kernel: the dense inter-block
-#: flow matrix plus the base scores as one float64 vector (the same
-#: values :func:`_flow_adjacency` hands the scalar kernel).  Keyed and
-#: bounded like ``_ADJACENCY_CACHE``.
+#: per-app state of the split kernel: the dense inter-block flow matrix
+#: plus each block's total flow (the seed scores) as a float64 vector.
+#: The profiler put ``split_virtual_blocks`` at the top of the hot-path
+#: profile, and most of its time was rebuilding this state: every
+#: deploy attempt of every queued request re-splits the same few
+#: artifacts.  Both are a pure function of ``app.flows``, so they are
+#: built once per app object.  Keyed by ``id()`` with the app held
+#: strongly and identity-checked on lookup, so a recycled id can never
+#: alias a different artifact; the LRU bound keeps long campaigns from
+#: pinning dead apps.
 _SPLIT_ARRAYS_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
 _SPLIT_ARRAYS_CACHE_MAX = 64
+#: cold flow-matrix constructions, ever (tests pin cache reuse)
+_flow_matrix_builds = 0
 #: memoized group shapes: ``(app id, capacity tuple)`` -> per-block
 #: quota index.  The greedy grouping depends only on the capacity
 #: *sequence* and the app's flows -- board ids are opaque labels -- so
@@ -131,57 +85,83 @@ _SPLIT_ARRAYS_CACHE_MAX = 64
 #: cluster the winning boards vary constantly while the shapes repeat).
 _SPLIT_RESULT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SPLIT_RESULT_CACHE_MAX = 1024
-#: cold array-kernel runs, ever (tests pin shape-memo reuse)
+#: cold kernel runs, ever (tests pin shape-memo reuse)
 _split_kernel_runs = 0
 
 
 def _clear_split_caches() -> None:
-    """Drop every split-path memo (adjacency, arrays, shapes).
+    """Drop every split-path memo (flow matrices and shapes).
 
     Test hook: the white-box cache tests clear all layers at once so
     build counters start from a provably cold state.
     """
-    _ADJACENCY_CACHE.clear()
     _SPLIT_ARRAYS_CACHE.clear()
     _SPLIT_RESULT_CACHE.clear()
 
 
 def _split_arrays(app: CompiledApp):
-    """``(flow matrix, base scores)`` for ``app``, memoized."""
+    """``(flow matrix, base scores)`` for ``app``, memoized.
+
+    Flows between the same two blocks, in either direction, merge into
+    one symmetric weight; self-flows never contribute to a cut and are
+    dropped.  A block's base score sums its pair weights in first-seen
+    pair order, the order the greedy's reference walk sums them in, so
+    the scores are bit-equal to it.
+    """
+    global _flow_matrix_builds
     key = id(app)
     entry = _SPLIT_ARRAYS_CACHE.get(key)
     if entry is not None and entry[0] is app:
         _SPLIT_ARRAYS_CACHE.move_to_end(key)
         return entry[1], entry[2]
-    adjacency, base_flow = _flow_adjacency(app)
+    _flow_matrix_builds += 1
     n = app.num_blocks
+    weight: dict[tuple[int, int], float] = {}
+    for (src, dst), bits in app.flows.items():
+        if src != dst:
+            pair = (min(src, dst), max(src, dst))
+            weight[pair] = weight.get(pair, 0.0) + bits
     matrix = np.zeros((n, n), dtype=np.float64)
-    for vb, neighbors in adjacency.items():
-        for other, w in neighbors:
-            matrix[vb, other] = w
-    base = np.asarray([base_flow[v] for v in range(n)],
-                      dtype=np.float64)
-    _SPLIT_ARRAYS_CACHE[key] = (app, matrix, base)
+    base = [0.0] * n
+    for (a, b), w in weight.items():
+        matrix[a, b] = matrix[b, a] = w
+        base[a] += w
+        base[b] += w
+    base_arr = np.asarray(base, dtype=np.float64)
+    _SPLIT_ARRAYS_CACHE[key] = (app, matrix, base_arr)
     while len(_SPLIT_ARRAYS_CACHE) > _SPLIT_ARRAYS_CACHE_MAX:
         _SPLIT_ARRAYS_CACHE.popitem(last=False)
-    return matrix, base
+    return matrix, base_arr
 
 
-def _split_array(app: CompiledApp,
-                 quotas: list[tuple[int, int]]) -> dict[int, int]:
-    """The vectorized split kernel; see :func:`split_virtual_blocks`.
+def split_virtual_blocks(app: CompiledApp,
+                         quotas: list[tuple[int, int]],
+                         ) -> dict[int, int]:
+    """Group an app's virtual blocks onto boards, minimizing cut flow.
 
-    Float-exact with the scalar kernel: each assignment applies exactly
-    one ``-=`` / ``+=`` per score cell (non-neighbors move by zero,
-    which is an IEEE no-op), in the same order the scalar per-neighbor
-    walk does, so every score the selection reads is bit-equal; and
-    ``argmax`` over ``where(avail, score, -inf)`` returns the *first*
-    maximum, which is the scalar ``max(..., key=(score, -v))``
-    tie-break.
+    ``quotas`` is an ordered list of ``(board_id, capacity)``.  Greedy
+    region growing over the app's inter-block flow graph: each board's
+    group is seeded with the unassigned block of heaviest total flow,
+    then grown by repeatedly pulling in the unassigned block with the
+    strongest connection to the group, so heavy channels stay
+    board-local.  Ties go to the lowest block index.
+
+    The selection loop runs over flat score vectors and a dense flow
+    matrix (:func:`_split_arrays`), takes an O(n) shortcut for
+    single-board placements, and memoizes the group shape per
+    ``(app, capacity sequence)``.  It is float-exact with the
+    per-neighbor dict walk the equivalence suite replays as its oracle:
+    each assignment applies exactly one ``-=`` / ``+=`` per score cell
+    (non-neighbors move by zero, an IEEE no-op) in the walk's order, so
+    every score the selection reads is bit-equal; and ``argmax`` over
+    ``where(avail, score, -inf)`` returns the *first* maximum, the
+    walk's ``max(..., key=(score, -v))`` tie-break.
     """
     global _split_kernel_runs
     n = app.num_blocks
     caps = tuple(q for _, q in quotas)
+    if sum(caps) < n:
+        raise ValueError("quotas cannot hold the application")
     key = (id(app), caps)
     entry = _SPLIT_RESULT_CACHE.get(key)
     if entry is not None and entry[0] is app:
@@ -220,72 +200,19 @@ def _split_array(app: CompiledApp,
     return {vb: quotas[g][0] for vb, g in enumerate(groups)}
 
 
-def split_virtual_blocks(app: CompiledApp,
-                         quotas: list[tuple[int, int]],
-                         kernel: str = "array",
-                         ) -> dict[int, int]:
-    """Group an app's virtual blocks onto boards, minimizing cut flow.
+def _best_fit_row(counts: "np.ndarray", needed: int) -> int | None:
+    """Round 1 of the subset search over a free-count vector.
 
-    ``quotas`` is an ordered list of ``(board_id, capacity)``.  Greedy
-    region growing over the app's inter-block flow graph: each board's
-    group is grown by repeatedly pulling in the unassigned virtual block
-    with the strongest connection to the group, so heavy channels stay
-    board-local.
-
-    ``kernel`` selects the implementation: ``"array"`` (default) runs
-    the selection loop over flat numpy score vectors with a dense flow
-    matrix, takes an O(n) shortcut for single-board placements, and
-    memoizes the group shape per ``(app, capacity sequence)`` --
-    exactly the assignment the scalar kernel produces (the equivalence
-    suite asserts it); ``"scalar"`` is the original dict/set walk,
-    kept pristine as the differential oracle.
-
-    Scalar scores are maintained incrementally over a memoized
-    flow-adjacency list (:func:`_flow_adjacency`): assigning a block
-    updates only its neighbors' scores, and repeated splits of the same
-    artifact skip the adjacency construction entirely.
+    Returns the index of the board with the least leftover after taking
+    ``needed`` blocks, the lowest index on ties, or ``None`` when no
+    board fits.  With boards in ascending id order this is the minimum
+    of the search key ``(0, leftover, (board,))``.  One temporary:
+    negative leftovers reinterpret as huge unsigned values, so
+    ``argmin`` lands on the best fitting board (or, when nothing fits,
+    a board the final check rejects).
     """
-    total_quota = sum(q for _, q in quotas)
-    n = app.num_blocks
-    if total_quota < n:
-        raise ValueError("quotas cannot hold the application")
-    if kernel == "array":
-        return _split_array(app, quotas)
-    if kernel != "scalar":
-        raise ValueError(f"unknown split kernel {kernel!r}")
-
-    adjacency, base_flow = _flow_adjacency(app)
-    #: flow from each block into the still-unassigned set (seed score)
-    unassigned_flow = dict(base_flow)
-    #: flow from each unassigned block into the group being grown
-    group_flow = {vb: 0.0 for vb in range(n)}
-
-    unassigned = set(range(n))
-    assignment: dict[int, int] = {}
-
-    def assign(vb: int, board_id: int) -> None:
-        unassigned.discard(vb)
-        assignment[vb] = board_id
-        for other, w in adjacency[vb]:
-            unassigned_flow[other] -= w
-            group_flow[other] += w
-
-    for board_id, quota in quotas:
-        if not unassigned:
-            break
-        for vb in unassigned:
-            group_flow[vb] = 0.0
-        take = min(quota, len(unassigned))
-        for picked in range(take):
-            if picked:
-                vb = max(unassigned,
-                         key=lambda v: (group_flow[v], -v))
-            else:
-                # seed with the unassigned block of heaviest total flow
-                vb = max(unassigned,
-                         key=lambda v: (unassigned_flow[v], -v))
-            assign(vb, board_id)
-    return assignment
+    j = int((counts - needed).view(np.uint64).argmin())
+    return j if counts[j] >= needed else None
 
 
 def _build_placement(app: CompiledApp,
@@ -308,32 +235,15 @@ def _build_placement(app: CompiledApp,
 class CommunicationAwarePolicy:
     """The paper's multi-round, span-minimizing policy.
 
-    Two interchangeable kernels drive the pruned branch-and-bound:
-
-    - ``kernel="array"`` (default) precomputes each search node's
-      capacity-prune mask and added-span vector with numpy over the
-      candidate range -- both are independent of the incumbent, so the
-      sequential candidate scan that follows takes exactly the same
-      prune decisions (and visited/pruned counts) as the scalar code;
-    - ``kernel="scalar"`` is the original per-board Python loop, kept
-      as the differential oracle the equivalence tests replay.
-
-    Both kernels return identical keys, so placements, traces, and
-    summaries are identical by construction; the randomized equivalence
-    tests assert it anyway.
+    Round 1 (one board) is a single vectorized argmin over the free
+    counts (:func:`_best_fit_row`); rounds ``k >= 2`` run the pruned
+    branch-and-bound :meth:`_best_subset`.  The randomized equivalence
+    tests replay both against the exhaustive enumeration.
     """
 
     name = "communication-aware"
 
-    def __init__(self, prune: bool = True,
-                 kernel: str = "array",
-                 max_boards: int | None = None) -> None:
-        #: ``False`` restores the exhaustive per-round subset
-        #: enumeration (the differential oracle / "before" path)
-        self.prune = prune
-        if kernel not in ("array", "scalar"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        self.kernel = kernel
+    def __init__(self, max_boards: int | None = None) -> None:
         #: optional cap on placement span (boards per deployment).
         #: ``None`` -- the paper's unbounded multi-round search -- is
         #: byte-identical to the pre-cap policy.  A finite cap models
@@ -362,29 +272,19 @@ class CommunicationAwarePolicy:
                  free_by_board: dict[int, list[int]],
                  network: RingNetwork) -> Placement | None:
         needed = app.num_blocks
-        boards = sorted(free_by_board)
-        free = {b: len(free_by_board[b]) for b in boards}
-        if not self.prune:
-            return self._allocate_exhaustive(app, free_by_board, free,
-                                             boards, needed, network)
-
-        present = [b for b in boards if free[b] > 0]
+        free = {b: len(free_by_board[b]) for b in sorted(free_by_board)}
+        present = [b for b, count in free.items() if count > 0]
         if sum(free[b] for b in present) < needed:
             if self.tracer:
                 self.last_search = ("insufficient-capacity", 0, 0, 0)
             return None
         # [visited, pruned] node counters, collected only when tracing
         stats = [0, 0] if self.tracer else None
-        if self.kernel == "array":
-            free_arr = np.asarray([free[b] for b in present],
-                                  dtype=np.int64)
         limit = len(present) if self.max_boards is None \
             else min(len(present), self.max_boards)
         for round_k in range(1, limit + 1):
-            if self.kernel == "array":
-                best = self._best_subset_array(
-                    present, free_arr, needed, round_k, network,
-                    stats=stats)
+            if round_k == 1:
+                best = self._best_single(present, free, needed, stats)
             else:
                 best = self._best_subset(present, free, needed,
                                          round_k, network, stats=stats)
@@ -403,6 +303,26 @@ class CommunicationAwarePolicy:
             self.last_search = ("no-feasible-subset", len(present),
                                 stats[0], stats[1])
         return None
+
+    @staticmethod
+    def _best_single(present: list[int], free: dict[int, int],
+                     needed: int, stats: list[int] | None = None,
+                     ) -> tuple[int, int, tuple[int, ...]] | None:
+        """Round 1 of :meth:`_best_subset`, vectorized, counter-exact.
+
+        The branch-and-bound never span-prunes a single-board round
+        (the floor is 0), so it visits every board and prunes exactly
+        the ones that fail the fit test.
+        """
+        free_arr = np.fromiter((free[b] for b in present),
+                               dtype=np.int64, count=len(present))
+        if stats is not None:
+            stats[0] += len(present)
+            stats[1] += int((free_arr < needed).sum())
+        j = _best_fit_row(free_arr, needed)
+        if j is None:
+            return None
+        return (0, int(free_arr[j]) - needed, (present[j],))
 
     @staticmethod
     def _best_subset(present: list[int], free: dict[int, int],
@@ -475,96 +395,6 @@ class CommunicationAwarePolicy:
         extend(0, 0, 0)
         return best
 
-    @staticmethod
-    def _best_subset_array(present: list[int], free_arr: "np.ndarray",
-                           needed: int, k: int, network: RingNetwork,
-                           stats: list[int] | None = None,
-                           ) -> tuple[int, int, tuple[int, ...]] | None:
-        """:meth:`_best_subset` on flat arrays, counter-exact.
-
-        ``free_arr`` is the free-block count of each ``present`` board
-        (same order).  Per search node the capacity-prune mask and the
-        added-span vector are computed for the whole candidate range in
-        one shot -- both depend only on the fixed inputs and the chosen
-        prefix, never on the incumbent -- and the candidate scan then
-        walks them sequentially, comparing span floors against the live
-        incumbent at the same points the scalar loop does.  Visited and
-        pruned counts are therefore identical by construction.
-        """
-        n = len(present)
-        if k > n:
-            return None
-        if k == 1:
-            # single-board round: the common case, fully vectorized.
-            # The scalar scan never span-prunes here (the floor is 0),
-            # so pruned == boards that fail the fit test, and the best
-            # key is the smallest leftover with the lowest board id --
-            # exactly the first minimum ``argmin`` returns.
-            fits = free_arr >= needed
-            if stats is not None:
-                stats[0] += n
-                stats[1] += int(n - int(fits.sum()))
-            if not fits.any():
-                return None
-            leftovers = np.where(fits, free_arr - needed,
-                                 np.iinfo(np.int64).max)
-            j = int(np.argmin(leftovers))
-            return (0, int(free_arr[j] - needed), (present[j],))
-        # suffix_max[i]: most free blocks on any of present[i:]
-        suffix_max = np.zeros(n + 1, dtype=np.int64)
-        suffix_max[:n] = np.maximum.accumulate(free_arr[::-1])[::-1]
-        free_list = free_arr.tolist()
-        present_arr = np.asarray(present, dtype=np.intp)
-        dist = network._dist
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        chosen: list[int] = []
-
-        def extend(start: int, capacity: int, span: int) -> None:
-            nonlocal best
-            remaining = k - len(chosen)
-            if remaining == 0:
-                if capacity < needed:
-                    return
-                key = (span, capacity - needed, tuple(chosen))
-                if best is None or key < best:
-                    best = key
-                return
-            end = n - remaining + 1
-            if start >= end:
-                return
-            seg = slice(start, end)
-            cap_bad = (capacity + free_arr[seg]
-                       + (remaining - 1)
-                       * suffix_max[start + 1:end + 1]
-                       < needed).tolist()
-            if chosen:
-                added_all = (span
-                             + dist[chosen][:, present_arr[seg]]
-                             .sum(axis=0)).tolist()
-            else:
-                added_all = [span] * (end - start)
-            tail = (remaining - 1) * (len(chosen) + 1) \
-                + (remaining - 1) * (remaining - 2) // 2
-            for j in range(end - start):
-                if stats is not None:
-                    stats[0] += 1
-                if cap_bad[j]:
-                    if stats is not None:
-                        stats[1] += 1
-                    continue
-                added = added_all[j]
-                if best is not None and added + tail > best[0]:
-                    if stats is not None:
-                        stats[1] += 1
-                    continue
-                i = start + j
-                chosen.append(present[i])
-                extend(i + 1, capacity + free_list[i], added)
-                chosen.pop()
-
-        extend(0, 0, 0)
-        return best
-
     def allocate_fast(self, app: CompiledApp, db, network: RingNetwork,
                       excluded=()) -> Placement | None:
         """Untraced hot path straight over the ResourceDB's flat arrays.
@@ -587,18 +417,13 @@ class CommunicationAwarePolicy:
         elif db.total_free_blocks() < needed:
             return None
         # round 1 inline: the overwhelming outcome on a big unsaturated
-        # cluster.  Same argmin tie-break as _best_subset_array(k=1)
-        # (smallest leftover, lowest row = lowest board id; zero-count
-        # rows never fit, so restricting to present boards first would
-        # pick the same row), and the single-quota placement is built
-        # directly -- virtual block i onto the board's i-th lowest free
-        # block, exactly what _build_placement's cursor walk assigns.
-        # one temporary: negative leftovers reinterpret as huge
-        # unsigned values, so argmin lands on the best fitting board
-        # (or, when nothing fits, a board the counts check rejects)
-        leftovers = (counts - needed).view(np.uint64)
-        j = int(leftovers.argmin())
-        if counts[j] >= needed:
+        # cluster.  Zero-count rows never fit, so searching every row
+        # picks the same board as searching the present ones, and the
+        # single-quota placement is built directly -- virtual block i
+        # onto the board's i-th lowest free block, exactly what
+        # _build_placement's cursor walk assigns.
+        j = _best_fit_row(counts, needed)
+        if j is not None:
             board = int(db.board_ids_array()[j])
             blocks = db.free_by_board_one(board)
             return Placement(mapping={
@@ -608,66 +433,18 @@ class CommunicationAwarePolicy:
         if int(free_arr.sum()) < needed:
             return None
         present = db.board_ids_array()[present_rows].tolist()
+        free = dict(zip(present, free_arr.tolist()))
         limit = len(present) if self.max_boards is None \
             else min(len(present), self.max_boards)
         for round_k in range(2, limit + 1):
-            best = self._best_subset_array(present, free_arr, needed,
-                                           round_k, network)
+            best = self._best_subset(present, free, needed, round_k,
+                                     network)
             if best is None:
                 continue
-            _, _, subset = best
-            free = dict(zip(present, free_arr.tolist()))
-            quotas = self._quotas(subset, free, needed)
+            quotas = self._quotas(best[2], free, needed)
             free_by_board = {board: db.free_by_board_one(board)
                              for board, _ in quotas}
             return _build_placement(app, quotas, free_by_board)
-        return None
-
-    def _allocate_exhaustive(self, app: CompiledApp,
-                             free_by_board: dict[int, list[int]],
-                             free: dict[int, int], boards: list[int],
-                             needed: int, network: RingNetwork,
-                             ) -> Placement | None:
-        """The original brute-force enumeration (every subset, every
-        round); kept as the reference the pruned search must match."""
-        visited = 0
-        limit = len(boards) if self.max_boards is None \
-            else min(len(boards), self.max_boards)
-        for round_k in range(1, limit + 1):
-            best: tuple[int, int, tuple[int, ...]] | None = None
-            for subset in itertools.combinations(boards, round_k):
-                visited += 1
-                capacity = sum(free[b] for b in subset)
-                if capacity < needed:
-                    continue
-                # every board of the subset must contribute, otherwise
-                # the same placement exists in an earlier round
-                if round_k > 1 and any(free[b] == 0 for b in subset):
-                    continue
-                # int-typed key, matching the pruned search exactly:
-                # mixed int/float keys compare equal on equal spans but
-                # serialize differently, and a future non-integral cost
-                # model would silently break tie-break parity
-                span = int(network.span_cost(list(subset)))
-                leftover = int(capacity - needed)
-                key = (span, leftover, subset)
-                if best is None or key < best:
-                    best = key
-            if best is None:
-                continue
-            _, _, subset = best
-            if self.tracer:
-                self.tracer.event(
-                    "policy.allocate", app=app.name, needed=needed,
-                    found=True, rounds=round_k, boards=subset,
-                    span=best[0], leftover=best[1],
-                    visited=visited, pruned=0)
-            quotas = CommunicationAwarePolicy._quotas(subset, free,
-                                                      needed)
-            return _build_placement(app, quotas, free_by_board)
-        if self.tracer:
-            self.last_search = ("no-feasible-subset", len(boards),
-                                visited, 0)
         return None
 
     @staticmethod

@@ -1,7 +1,9 @@
-"""Differential tests: the array event engine vs the heapq oracle.
+"""Differential tests: the array event queue vs the heapq oracle.
 
-``run_experiment(engine="array")`` must be byte-identical to
-``engine="heapq"`` -- traces, summaries, per-request records, and the
+``run_experiment`` on :class:`~repro.sim.events.EventQueue` ("array")
+must be byte-identical to a run on
+:class:`~tests.oracles.HeapEventQueue` ("heapq", which never pops an
+arrival cohort) -- traces, summaries, per-request records, and the
 policy search counters inside the trace -- while the cohort fast path
 and the admission prefilter only engage where they provably cannot
 change results (untraced strict-FIFO runs).  The SJF sorted-queue
@@ -22,6 +24,7 @@ from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
 from repro.sim.experiment import run_experiment
 from repro.sim.workload import Request
+from tests.oracles import heap_event_engine
 
 
 def _requests(compiled_apps, num=240, interarrival=0.4, seed=3):
@@ -41,8 +44,10 @@ def _requests(compiled_apps, num=240, interarrival=0.4, seed=3):
 
 def _run(engine, requests, apps, boards=8, **kwargs):
     manager = SystemController(make_cluster(num_boards=boards))
-    return run_experiment(manager, requests, apps, engine=engine,
-                          **kwargs)
+    if engine == "heapq":
+        with heap_event_engine():
+            return run_experiment(manager, requests, apps, **kwargs)
+    return run_experiment(manager, requests, apps, **kwargs)
 
 
 def _shape(result):
@@ -51,10 +56,6 @@ def _shape(result):
 
 
 class TestEngineEquivalence:
-    def test_unknown_engine_rejected(self, compiled_apps):
-        with pytest.raises(ValueError, match="unknown event engine"):
-            _run("simd", _requests(compiled_apps, num=2), compiled_apps)
-
     def test_untraced_saturated_runs_identical(self, compiled_apps):
         """Saturating FIFO load -- the cohort fast path engages on the
         array side and must change nothing."""

@@ -3,8 +3,9 @@
 The System-Layer hot path replaced full-table rescans with indices
 maintained on every transition (see ``runtime/resource_db.py``).  These
 tests pin the equivalence: a randomized operation mix is applied to both
-:class:`ResourceDB` (incremental) and :class:`RescanResourceDB` (the
-original scan-per-query semantics), every query is compared after every
+:class:`ResourceDB` (incremental) and
+:class:`~tests.oracles.RescanResourceDB` (the original scan-per-query
+semantics), every query is compared after every
 transition, and ``verify()`` cross-checks the indices against a rescan
 of the block table.  A second group checks that ``verify()`` actually
 detects corruption, so the cross-check itself cannot rot silently.
@@ -22,8 +23,8 @@ import pytest
 
 from repro.cluster.cluster import make_cluster
 from repro.runtime.policy import CommunicationAwarePolicy
-from repro.runtime.resource_db import (BlockState, RescanResourceDB,
-                                       ResourceDB)
+from repro.runtime.resource_db import BlockState, ResourceDB
+from tests.oracles import ExhaustivePolicy, RescanResourceDB
 
 
 def _compare_queries(fast: ResourceDB, slow: RescanResourceDB) -> None:
@@ -163,8 +164,8 @@ class TestPrunedPolicyMatchesExhaustive:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_free_maps(self, big_cluster, compiled_apps, seed):
         rng = random.Random(seed)
-        pruned = CommunicationAwarePolicy(prune=True)
-        exhaustive = CommunicationAwarePolicy(prune=False)
+        pruned = CommunicationAwarePolicy()
+        exhaustive = ExhaustivePolicy()
         boards = [b.board_id for b in big_cluster.boards]
         per_board = big_cluster.blocks_per_board
         for _ in range(25):

@@ -1,13 +1,16 @@
-"""Differential tests: the array runtime kernel vs its scalar oracles.
+"""Differential tests: the runtime hot paths vs their oracles.
 
-PR 7 moves the runtime hot paths (policy subset search, resource-DB fit
-tests, ring span/contention math) onto flat numpy arrays.  Every array
-path keeps the prior implementation as an oracle:
+The policy's round 1, the resource-DB fit tests, the ring
+span/contention math and the block split run on flat numpy arrays.
+Each is checked against a plainer implementation:
 
-- ``CommunicationAwarePolicy(kernel="scalar")`` is the original
-  per-board Python branch-and-bound;
-- ``CommunicationAwarePolicy(prune=False)`` is the exhaustive
-  enumeration both pruned kernels must agree with;
+- :class:`~tests.oracles.ScalarPolicy` runs every round, round 1
+  included, on the scalar branch-and-bound;
+- :class:`~tests.oracles.ExhaustivePolicy` is the exhaustive
+  enumeration the pruned search must agree with;
+- ``allocate_fast`` over a live ``ResourceDB`` must place exactly as
+  ``allocate`` does over the equivalent free map;
+- :func:`~tests.oracles.scalar_split` is the dict walk of the split;
 - ``ResourceDB.verify()`` cross-checks the flat free-count/bitmap
   mirrors against the authoritative per-board sets.
 
@@ -23,9 +26,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.cluster.cluster import make_cluster
 from repro.cluster.network import RingNetwork
-from repro.runtime.policy import CommunicationAwarePolicy
+from repro.runtime.policy import CommunicationAwarePolicy, \
+    split_virtual_blocks
 from repro.runtime.resource_db import ResourceDB
+from tests.oracles import ExhaustivePolicy, ScalarPolicy, \
+    flow_adjacency, scalar_split
 
 
 @dataclass(frozen=True)
@@ -48,30 +55,65 @@ def _free_by_board(rng: random.Random, boards: int,
     return free
 
 
-def _policies() -> dict[str, CommunicationAwarePolicy]:
+def _policies(max_boards: int | None = None,
+              ) -> dict[str, CommunicationAwarePolicy]:
     return {
-        "array": CommunicationAwarePolicy(kernel="array"),
-        "scalar": CommunicationAwarePolicy(kernel="scalar"),
-        "exhaustive": CommunicationAwarePolicy(prune=False),
+        "policy": CommunicationAwarePolicy(max_boards=max_boards),
+        "scalar": ScalarPolicy(max_boards=max_boards),
+        "exhaustive": ExhaustivePolicy(max_boards=max_boards),
     }
 
 
+def _live_db(cluster, free: dict[int, list[int]]) -> ResourceDB:
+    """A ResourceDB whose free blocks are exactly ``free``: every other
+    block of the cluster is held by one filler request."""
+    db = ResourceDB(cluster)
+    held = [(board.board_id, block) for board in cluster.boards
+            for block in range(board.num_blocks)
+            if block not in free.get(board.board_id, ())]
+    if held:
+        db.allocate(-1, held)
+    return db
+
+
+#: (boards, blocks per board, max_boards); the uncapped cases keep
+#: their original ids
+_EQUIVALENCE_CASES = [
+    pytest.param(boards, blocks, cap,
+                 id=f"{boards}-{blocks}" if cap is None
+                 else f"{boards}-{blocks}-cap{cap}")
+    for boards, blocks in [(4, 4), (8, 4), (12, 6)]
+    for cap in (None, 1, 2, 3)]
+
+
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("boards,blocks", [(4, 4), (8, 4), (12, 6)])
-    def test_randomized_three_way_equivalence(self, boards, blocks):
-        """array == scalar == exhaustive on random states (the PR's
-        core acceptance criterion, at differential scale)."""
+    @pytest.mark.parametrize("boards,blocks,max_boards",
+                             _EQUIVALENCE_CASES)
+    def test_randomized_three_way_equivalence(self, partition, boards,
+                                              blocks, max_boards):
+        """policy == scalar == exhaustive on random states, with and
+        without a span cap; and ``allocate_fast`` over a live
+        ResourceDB places exactly as ``allocate`` does."""
         rng = random.Random(70_000 + boards)
         network = RingNetwork(boards)
-        policies = _policies()
+        cluster = make_cluster(num_boards=boards, partition=partition)
+        assert cluster.boards[0].num_blocks >= blocks
+        policies = _policies(max_boards)
         agreed = 0
         for trial in range(150):
             free = _free_by_board(rng, boards, blocks)
-            needed = rng.randint(1, boards * blocks // 2)
+            most = boards * blocks // 2
+            if max_boards is not None:
+                # demands just past what the cap can ever hold are
+                # enough to exercise it; larger ones are trivially None
+                most = min(most, max_boards * blocks + 1)
+            needed = rng.randint(1, most)
             app = FakeApp(name=f"t{trial}", num_blocks=needed)
             outcomes = {name: p.allocate(app, free, network)
                         for name, p in policies.items()}
-            first = outcomes["array"]
+            outcomes["fast"] = policies["policy"].allocate_fast(
+                app, _live_db(cluster, free), network)
+            first = outcomes["policy"]
             for name, placement in outcomes.items():
                 if first is None:
                     assert placement is None, name
@@ -102,7 +144,7 @@ class TestKernelEquivalence:
                             for name, p in policies.items()}
                 mappings = {name: p.mapping for name, p
                             in outcomes.items()}
-                assert mappings["array"] == mappings["scalar"] \
+                assert mappings["policy"] == mappings["scalar"] \
                     == mappings["exhaustive"], \
                     f"free={free_count} needed={needed}"
 
@@ -126,8 +168,8 @@ class TestKernelEquivalence:
             assert mappings[0] == mappings[1] == mappings[2]
 
     def test_search_counters_match_scalar(self):
-        """The array kernel's visited/pruned counters are identical to
-        the scalar kernel's by construction -- the telemetry the golden
+        """The vectorized round 1's visited/pruned counters are
+        identical to the scalar search's -- the telemetry the golden
         traces assert on."""
         from repro.obs.tracer import Tracer
         boards = 8
@@ -138,8 +180,8 @@ class TestKernelEquivalence:
             needed = rng.randint(1, 10)
             app = FakeApp(name=f"s{trial}", num_blocks=needed)
             counts = {}
-            for kernel in ("array", "scalar"):
-                policy = CommunicationAwarePolicy(kernel=kernel)
+            for kernel, policy in (("array", CommunicationAwarePolicy()),
+                                   ("scalar", ScalarPolicy())):
                 tracer = Tracer()
                 policy.tracer = tracer
                 policy.allocate(app, dict(free), network)
@@ -150,10 +192,6 @@ class TestKernelEquivalence:
                      e["fields"]["rounds"], tuple(e["fields"]["boards"]))
                     for e in events]
             assert counts["array"] == counts["scalar"], trial
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            CommunicationAwarePolicy(kernel="simd")
 
 
 class TestResourceDBArrayMirrors:
@@ -329,7 +367,7 @@ class TestSplitKernelEquivalence:
 
     The array kernel must be counter-exact: identical assignments on
     random flow graphs (self-flows included), through the memoized
-    adjacency path, and on degenerate single-block apps.
+    flow-matrix path, and on degenerate single-block apps.
     """
 
     def _random_app(self, rng: random.Random, n: int,
@@ -354,7 +392,6 @@ class TestSplitKernelEquivalence:
         return quotas
 
     def test_randomized_flow_graphs_match_scalar(self):
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(91_000)
         checked = 0
         for trial in range(200):
@@ -363,16 +400,35 @@ class TestSplitKernelEquivalence:
             quotas = self._random_quotas(rng, n)
             if sum(c for _, c in quotas) < n:
                 continue
-            vec = split_virtual_blocks(app, quotas, kernel="array")
-            ref = split_virtual_blocks(app, quotas, kernel="scalar")
+            vec = split_virtual_blocks(app, quotas)
+            ref = scalar_split(app, quotas)
             assert vec == ref, f"trial {trial}: {app.flows} {quotas}"
             checked += 1
         assert checked > 150
 
+    def test_base_scores_bit_equal_to_oracle(self):
+        """Non-dyadic weights make float sums order-dependent; the flow
+        matrix and seed scores must still equal the walk's bit for
+        bit."""
+        from repro.runtime import policy as policy_mod
+        rng = random.Random(94_000)
+        for trial in range(100):
+            n = rng.randint(2, 12)
+            flows = {(rng.randrange(n), rng.randrange(n)):
+                     rng.uniform(0.0, 1000.0) for _ in range(4 * n)}
+            app = FakeApp(name=f"b{trial}", num_blocks=n, flows=flows)
+            matrix, base = policy_mod._split_arrays(app)
+            adjacency, want = flow_adjacency(app)
+            assert base.tolist() == want, trial
+            for vb, neighbors in adjacency.items():
+                assert {other: matrix[vb, other]
+                        for other, _ in neighbors} == dict(neighbors)
+            assert int((matrix != 0).sum()) \
+                == sum(len(v) for v in adjacency.values())
+
     def test_tie_heavy_uniform_flows_match(self):
         """All-equal weights tie every greedy pick; argmax-first must
         reproduce the scalar max()'s first-wins tie-break."""
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(92_000)
         for trial in range(60):
             n = rng.randint(2, 10)
@@ -382,37 +438,28 @@ class TestSplitKernelEquivalence:
             quotas = self._random_quotas(rng, n)
             if sum(c for _, c in quotas) < n:
                 continue
-            assert split_virtual_blocks(app, quotas, kernel="array") \
-                == split_virtual_blocks(app, quotas, kernel="scalar")
+            assert split_virtual_blocks(app, quotas) \
+                == scalar_split(app, quotas)
 
     def test_single_block_degenerate_app(self):
-        from repro.runtime.policy import split_virtual_blocks
         app = FakeApp(name="one", num_blocks=1,
                       flows={(0, 0): 99.0})  # self-flow only
         for quotas in ([(5, 1)], [(3, 4)], [(2, 1), (7, 9)]):
-            assert split_virtual_blocks(app, quotas, kernel="array") \
-                == split_virtual_blocks(app, quotas, kernel="scalar") \
+            assert split_virtual_blocks(app, quotas) \
+                == scalar_split(app, quotas) \
                 == {0: quotas[0][0]}
 
     def test_memoized_adjacency_path_matches_cold(self):
         """Second call hits every cache layer; the answer must not
         drift from the cold run's."""
         from repro.runtime import policy as policy_mod
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(93_000)
         app = self._random_app(rng, 9, "memo")
         quotas = [(0, 5), (1, 4)]
         policy_mod._clear_split_caches()
-        cold = split_virtual_blocks(app, quotas, kernel="array")
-        warm = split_virtual_blocks(app, quotas, kernel="array")
-        relabeled = split_virtual_blocks(app, [(6, 5), (2, 4)],
-                                         kernel="array")
+        cold = split_virtual_blocks(app, quotas)
+        warm = split_virtual_blocks(app, quotas)
+        relabeled = split_virtual_blocks(app, [(6, 5), (2, 4)])
         assert cold == warm
         assert relabeled == {vb: {0: 6, 1: 2}[b]
                              for vb, b in cold.items()}
-
-    def test_unknown_kernel_rejected(self):
-        from repro.runtime.policy import split_virtual_blocks
-        app = FakeApp(name="k", num_blocks=2, flows={})
-        with pytest.raises(ValueError):
-            split_virtual_blocks(app, [(0, 2)], kernel="gpu")

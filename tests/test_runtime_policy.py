@@ -109,15 +109,15 @@ class TestAdjacencyMemoization:
         policy_mod._clear_split_caches()
         n = compiled_large.num_blocks
         quotas = [(0, n - 2), (1, 2)]
-        before = policy_mod._adjacency_builds
+        before = policy_mod._flow_matrix_builds
         first = split_virtual_blocks(compiled_large, quotas)
-        after_first = policy_mod._adjacency_builds
+        after_first = policy_mod._flow_matrix_builds
         second = split_virtual_blocks(compiled_large, quotas)
         third = split_virtual_blocks(compiled_large, [(2, n)])
         # counter-exact: one cold build, then pure cache reuse --
         # and the memoized path is byte-equivalent to the cold one
         assert after_first == before + 1
-        assert policy_mod._adjacency_builds == after_first
+        assert policy_mod._flow_matrix_builds == after_first
         assert first == second
         assert set(third) == set(range(n))
 
@@ -144,29 +144,16 @@ class TestAdjacencyMemoization:
         clone = CompiledApp.from_dict(compiled_large.to_dict())
         n = compiled_large.num_blocks
         quotas = [(0, n - 2), (1, 2)]
-        before = policy_mod._adjacency_builds
+        before = policy_mod._flow_matrix_builds
         original = split_virtual_blocks(compiled_large, quotas)
         cloned = split_virtual_blocks(clone, quotas)
-        assert policy_mod._adjacency_builds == before + 2
+        assert policy_mod._flow_matrix_builds == before + 2
         # equal artifacts split identically regardless of which
         # instance seeded the cache
         assert original == cloned
 
     def test_cache_is_bounded(self, compiled_small):
-        from repro.compiler.bitstream import CompiledApp
-        from repro.runtime import policy as policy_mod
-        policy_mod._clear_split_caches()
-        n = compiled_small.num_blocks
-        keep_alive = []
-        for _ in range(policy_mod._ADJACENCY_CACHE_MAX + 8):
-            app = CompiledApp.from_dict(compiled_small.to_dict())
-            keep_alive.append(app)
-            split_virtual_blocks(app, [(0, n - 1), (1, 1)],
-                                 kernel="scalar")
-        assert len(policy_mod._ADJACENCY_CACHE) \
-            == policy_mod._ADJACENCY_CACHE_MAX
-
-    def test_split_caches_are_bounded(self, compiled_small):
+        """The per-app flow-matrix memo stays within its LRU bound."""
         from repro.compiler.bitstream import CompiledApp
         from repro.runtime import policy as policy_mod
         policy_mod._clear_split_caches()
@@ -178,7 +165,13 @@ class TestAdjacencyMemoization:
             split_virtual_blocks(app, [(0, n - 1), (1, 1)])
         assert len(policy_mod._SPLIT_ARRAYS_CACHE) \
             == policy_mod._SPLIT_ARRAYS_CACHE_MAX
-        app = keep_alive[0]
+
+    def test_split_caches_are_bounded(self, compiled_small):
+        """The per-shape memo stays within its LRU bound."""
+        from repro.runtime import policy as policy_mod
+        policy_mod._clear_split_caches()
+        n = compiled_small.num_blocks
+        app = compiled_small
         for caps in range(policy_mod._SPLIT_RESULT_CACHE_MAX + 8):
             split_virtual_blocks(
                 app, [(0, n - 1), (1, 1 + caps)])

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import ArrayEventQueue, EventQueue, \
-    TimeWeightedValue
+from repro.sim.events import EventQueue, TimeWeightedValue
+from tests.oracles import HeapEventQueue
 
 
 class TestEventQueue:
@@ -15,23 +15,23 @@ class TestEventQueue:
         q.push(5.0, "b")
         q.push(1.0, "a")
         q.push(3.0, "c")
-        assert [q.pop().kind for _ in range(3)] == ["a", "c", "b"]
+        assert [q.pop3()[1] for _ in range(3)] == ["a", "c", "b"]
 
     def test_stable_for_ties(self):
         q = EventQueue()
         q.push(1.0, "first")
         q.push(1.0, "second")
-        assert q.pop().kind == "first"
-        assert q.pop().kind == "second"
+        assert q.pop3()[1] == "first"
+        assert q.pop3()[1] == "second"
 
     def test_payload_carried(self):
         q = EventQueue()
         q.push(0.0, "k", payload={"x": 1})
-        assert q.pop().payload == {"x": 1}
+        assert q.pop3()[2] == {"x": 1}
 
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):
-            EventQueue().pop()
+            EventQueue().pop3()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestEventQueue:
         q = EventQueue()
         for t in times:
             q.push(t, "e")
-        popped = [q.pop().time for _ in times]
+        popped = [q.pop3()[0] for _ in times]
         assert popped == sorted(popped)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
@@ -70,8 +70,7 @@ class TestEventQueue:
         bulk.push_many((t, f"e{i}", None)
                        for i, t in enumerate(times))
         for _ in times:
-            a, b = one_by_one.pop(), bulk.pop()
-            assert (a.time, a.kind) == (b.time, b.kind)
+            assert one_by_one.pop3()[:2] == bulk.pop3()[:2]
         assert not bulk
 
     def test_push_many_interleaves_with_push(self):
@@ -79,7 +78,7 @@ class TestEventQueue:
         q.push(2.0, "mid")
         q.push_many([(1.0, "early", None), (2.0, "mid-later", None),
                      (3.0, "late", None)])
-        assert [q.pop().kind for _ in range(4)] \
+        assert [q.pop3()[1] for _ in range(4)] \
             == ["early", "mid", "mid-later", "late"]
 
     def test_push_many_rejects_negative_time(self):
@@ -103,17 +102,18 @@ def _static_schedule(times, arrival_flags):
 
 
 class TestArrayEventQueue:
-    """The flat-array engine against the heapq oracle."""
+    """The flat-array queue's two phases and cohorts, and its pop order
+    against the heapq oracle."""
 
     def test_static_beats_dynamic_on_time_tie(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         q.push_many([(3.0, "arrival", "static")])
         q.push(3.0, "completion", "dynamic")
         assert q.pop3() == (3.0, "arrival", "static")
         assert q.pop3() == (3.0, "completion", "dynamic")
 
     def test_push_many_after_seal_falls_back_to_dynamic(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         q.push_many([(1.0, "arrival", "a")])
         q.push(5.0, "completion", "c")  # seals
         q.push_many([(2.0, "fault", "f")])
@@ -121,17 +121,17 @@ class TestArrayEventQueue:
 
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):
-            ArrayEventQueue().pop3()
+            EventQueue().pop3()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ArrayEventQueue().push_many([(-1.0, "arrival", None)])
-        q = ArrayEventQueue()
+            EventQueue().push_many([(-1.0, "arrival", None)])
+        q = EventQueue()
         with pytest.raises(ValueError):
             q.push(-0.5, "completion")
 
     def test_len_bool_peek_unsealed_and_sealed(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         assert not q and len(q) == 0
         q.push_many([(2.0, "arrival", "a"), (1.0, "arrival", "b")])
         assert q and len(q) == 2           # still staged
@@ -141,7 +141,7 @@ class TestArrayEventQueue:
         assert q.peek_time() == 0.5
 
     def test_arrival_run_stops_at_fault(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         q.push_many([(1.0, "arrival", 0), (1.0, "arrival", 1),
                      (1.0, "fault", 2), (2.0, "arrival", 3)])
         assert q.pop_arrival_run() == [0, 1]
@@ -150,7 +150,7 @@ class TestArrayEventQueue:
         assert q.pop_arrival_run() == [3]
 
     def test_arrival_run_clipped_by_dynamic_head_with_tie_kept(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         q.push_many([(1.0, "arrival", 0), (2.0, "arrival", 1),
                      (3.0, "arrival", 2)])
         q.push(2.0, "completion", "c")
@@ -167,7 +167,7 @@ class TestArrayEventQueue:
         the oracle's, under heavy timestamp ties."""
         static = _static_schedule(times, flags)
         rng = random.Random(seed)
-        oracle, array = EventQueue(), ArrayEventQueue()
+        oracle, array = HeapEventQueue(), EventQueue()
         oracle.push_many(static)
         array.push_many(static)
         popped = 0
@@ -191,7 +191,7 @@ class TestArrayEventQueue:
         prefixes of the oracle's pop sequence."""
         static = _static_schedule(times, flags)
         rng = random.Random(seed ^ 0x5eed)
-        oracle, array = EventQueue(), ArrayEventQueue()
+        oracle, array = HeapEventQueue(), EventQueue()
         oracle.push_many(static)
         array.push_many(static)
         popped = 0

@@ -75,9 +75,9 @@ class TestRunExperiment:
         apps = [compiled_large] * 7 + [compiled_large, compiled_small]
         reqs = requests_for(apps, [0.1 * i for i in range(9)])
         strict = run_experiment(SystemController(cluster), reqs,
-                                compiled_apps, backfill=False)
+                                compiled_apps, discipline="fifo")
         jumpy = run_experiment(SystemController(cluster), reqs,
-                               compiled_apps, backfill=True)
+                               compiled_apps, discipline="backfill")
         small_wait_strict = [r for r in strict.records
                              if r.request_id == 8][0].wait_s
         small_wait_backfill = [r for r in jumpy.records
@@ -105,16 +105,22 @@ class TestRunExperiment:
             run_experiment(SystemController(cluster), reqs,
                            compiled_apps, discipline="lifo")
 
-    def test_backfill_flag_maps_to_discipline(self, cluster,
-                                              compiled_apps,
-                                              compiled_small):
-        reqs = requests_for([compiled_small] * 3, [1.0, 2.0, 3.0])
-        a = run_experiment(SystemController(cluster), reqs,
-                           compiled_apps, backfill=True)
-        b = run_experiment(SystemController(cluster), reqs,
-                           compiled_apps, discipline="backfill")
-        assert a.summary.mean_response_s \
-            == pytest.approx(b.summary.mean_response_s)
+    def test_unplaceable_head_names_request_and_free_blocks(
+            self, cluster, compiled_apps, compiled_medium):
+        """A zero quota locks request 0 out for good; the error names
+        the blocked head and the free capacity, not a manager bug."""
+        controller = SystemController(cluster)
+        controller.set_quota("tenant-0", 0)
+        reqs = requests_for([compiled_medium] * 3, [1.0, 2.0, 3.0])
+        total = controller.capacity_blocks()
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(controller, reqs, compiled_apps)
+        message = str(info.value)
+        assert "3 queued requests never deployed" in message
+        assert f"request 0 (app '{compiled_medium.name}', needs " \
+            f"{compiled_medium.num_blocks} blocks)" in message
+        assert f"with {total} free blocks" in message
+        assert "starvation bug" not in message
 
     def test_extras_report_amorphos_combinations(self, cluster,
                                                  compiled_apps,

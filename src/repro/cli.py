@@ -35,6 +35,7 @@ output is stable and testable.
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Sequence
 
 from repro.analysis.report import format_table
@@ -62,6 +63,32 @@ _MANAGERS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -83,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("size", nargs="?", choices=["S", "M", "L"])
     p.add_argument("--all", action="store_true",
                    help="compile the whole 21-app benchmark set")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="worker processes for cache misses "
                         "(1 = inline)")
     p.add_argument("--cache-dir", default=None,
@@ -100,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--managers", default="per-device,vital",
                    help="comma-separated subset of "
                         f"{','.join(_MANAGERS)}")
-    p.add_argument("--requests", type=int, default=60)
-    p.add_argument("--interarrival", type=float, default=4.0)
+    p.add_argument("--requests", type=positive_int, default=60)
+    p.add_argument("--interarrival", type=positive_float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--boards", type=int, default=4)
+    p.add_argument("--boards", type=positive_int, default=4)
     p.add_argument("--from-trace", dest="from_trace", default=None,
                    help="replay a workload trace file (see `trace`) "
                         "instead of generating requests")
@@ -125,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SLO rule like 'p95_response_s < 60' or "
                         "'fragmentation < 0.8 @ 120' (repeatable; "
                         "implies --health)")
-    p.add_argument("--interval", dest="bucket_s", type=float,
+    p.add_argument("--interval", dest="bucket_s", type=positive_float,
                    default=10.0,
                    help="timeline bucket width in simulated seconds")
     p.add_argument("--faults", default="none",
@@ -150,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "status",
         help="print the cluster shape and per-board health")
-    p.add_argument("--boards", type=int, default=4)
+    p.add_argument("--boards", type=positive_int, default=4)
     p.add_argument("--state", default=None,
                    help="drill state file written by fail-board")
 
@@ -159,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("repair-board", "drill: bring a failed board back")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("board", type=int)
-        p.add_argument("--boards", type=int, default=4)
+        p.add_argument("--boards", type=positive_int, default=4)
         p.add_argument("--state", default=None,
                        help="JSON file persisting drill health state")
         if name == "fail-board":
@@ -196,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="smoke",
                    choices=["smoke", "standard", "extended"],
                    help="which declarative config grid to run")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="worker processes for cache misses "
                         "(1 = inline)")
-    p.add_argument("--requests", type=int, default=None,
+    p.add_argument("--requests", type=positive_int, default=None,
                    help="requests per scenario (default: the grid's)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cache-dir", default=None,
@@ -292,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--set", dest="set_index", type=int, default=7,
                    choices=sorted(COMPOSITIONS))
-    p.add_argument("--requests", type=int, default=120)
-    p.add_argument("--interarrival", type=float, default=4.0)
+    p.add_argument("--requests", type=positive_int, default=120)
+    p.add_argument("--interarrival", type=positive_float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

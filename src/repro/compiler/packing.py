@@ -62,19 +62,25 @@ class GreedyPacker:
         self.rng.shuffle(order)
         seeds = iter(order)
         clusters: list[Cluster] = []
+        #: |S1| of every candidate scored so far in this call
+        degree: dict[int, int] = {}
 
         while unpacked:
             seed_uid = next(s for s in seeds if s in unpacked)
             cluster = Cluster(uid=len(clusters))
-            self._grow(cluster, seed_uid, netlist, unpacked)
+            self._grow(cluster, seed_uid, netlist, unpacked, degree)
             clusters.append(cluster)
 
         return self._merge_small(clusters, netlist)
 
     # ------------------------------------------------------------------
     def _grow(self, cluster: Cluster, seed_uid: int, netlist: Netlist,
-              unpacked: set[int]) -> None:
-        """Grow one cluster from a seed until capacity is reached."""
+              unpacked: set[int], degree: dict[int, int]) -> None:
+        """Grow one cluster from a seed until capacity is reached.
+
+        ``degree`` memoizes each candidate's neighbor count for the
+        enclosing :meth:`pack` call.
+        """
         prims = netlist.primitives
         cluster.add(seed_uid, prims[seed_uid].resources)
         unpacked.discard(seed_uid)
@@ -89,7 +95,9 @@ class GreedyPacker:
         while links_in:
             best_uid, best_score = -1, -1.0
             for cand, s2 in links_in.items():
-                s1 = len(netlist.neighbors(cand))
+                s1 = degree.get(cand)
+                if s1 is None:
+                    s1 = degree[cand] = len(netlist.neighbors(cand))
                 score = s2 / s1 if s1 else 0.0
                 if score > best_score:
                     best_uid, best_score = cand, score

@@ -280,13 +280,24 @@ class QuadraticPlacer:
                   edges: dict[tuple[int, int], float]) -> list[int]:
         """SA legalization with the Eq. 3 cost, then greedy refinement.
 
-        The inner loop runs ``sa_moves`` times per placement iteration and
-        dominated the whole compile in profiles, almost entirely in
-        :class:`ResourceVector` allocation and property recomputation.  It
-        therefore works on flat per-component float arrays, performing the
-        exact same IEEE operations in the same order as the vector algebra
-        it replaces -- accept/reject decisions, and hence results, are
-        bit-identical to the original formulation.
+        Each move costs O(1) in the number of blocks and clusters, and the
+        result is bit-identical to rescanning every block per move (the
+        reference placer in ``tests/oracles.py``), down to the final
+        random-generator state:
+
+        - each block caches its overflow term; a move scores only the
+          tentative usages of its two blocks, and the cost adds the
+          non-zero terms in block order, as a full rescan would;
+        - move distances come from a cluster x block table computed
+          with the same expression;
+        - indices are drawn from ``getrandbits`` with the rejection loop
+          of ``Random.randrange``, so the stream is unchanged;
+        - a rejected move writes back ``(u - r) + r`` as an undo would,
+          and recomputes a block's term only when that changed its
+          usage; a no-op move (same block) does not cool.
+
+        The builtin ``sum`` is never used: Python 3.12 changed its float
+        rounding.
         """
         n = len(clusters)
         grid = self.grid
@@ -295,14 +306,18 @@ class QuadraticPlacer:
         aspect = grid.aspect_ratio
         penalty = self.overflow_penalty
         rng = self.rng
+        getrandbits = rng.getrandbits
+        random_ = rng.random
+        exp = math.exp
         inf = math.inf
 
-        # per-block cell centers and per-cluster demand/position, unpacked
-        # once so the loop touches only local floats
         cx = [b % cols + 0.5 for b in range(num_blocks)]
         cy = [b // cols + 0.5 for b in range(num_blocks)]
-        px = [float(positions[i][0]) for i in range(n)]
-        py = [float(positions[i][1]) for i in range(n)]
+        move_cost = []
+        for i in range(n):
+            x, y = float(positions[i][0]), float(positions[i][1])
+            move_cost.append([(aspect * abs(cx[b] - x) + abs(cy[b] - y)) / n
+                              for b in range(num_blocks)])
         r_lut = [c.resources.lut for c in clusters]
         r_dff = [c.resources.dff for c in clusters]
         r_dsp = [c.resources.dsp for c in clusters]
@@ -311,7 +326,9 @@ class QuadraticPlacer:
         cap_lut, cap_dff = cap.lut, cap.dff
         cap_dsp, cap_bram = cap.dsp, cap.bram_mb
 
-        assignment = [grid.nearest_block(px[i], py[i]) for i in range(n)]
+        assignment = [grid.nearest_block(float(positions[i][0]),
+                                         float(positions[i][1]))
+                      for i in range(n)]
         u_lut = [0.0] * num_blocks
         u_dff = [0.0] * num_blocks
         u_dsp = [0.0] * num_blocks
@@ -322,83 +339,139 @@ class QuadraticPlacer:
             u_dsp[b] += r_dsp[i]
             u_bram[b] += r_bram[i]
 
-        def overflow_term() -> float:
-            # mirrors ResourceVector.fits_in / utilization_of, component
-            # order preserved (lut, dff, dsp, bram) for identical floats
-            total = 0.0
-            for b in range(num_blocks):
-                lut, dff = u_lut[b], u_dff[b]
-                dsp, bram = u_dsp[b], u_bram[b]
-                if (lut <= cap_lut and dff <= cap_dff
-                        and dsp <= cap_dsp and bram <= cap_bram):
-                    continue
-                worst = 0.0
-                if lut != 0:
-                    if cap_lut == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, lut / cap_lut)
-                if dff != 0:
-                    if cap_dff == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, dff / cap_dff)
-                if dsp != 0:
-                    if cap_dsp == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, dsp / cap_dsp)
-                if bram != 0:
-                    if cap_bram == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, bram / cap_bram)
-                total += penalty * worst
-            return total / num_blocks
+        def overflow(lut: float, dff: float, dsp: float,
+                     bram: float) -> float:
+            # one block's Eq. 3 penalty; mirrors ResourceVector.fits_in /
+            # utilization_of in component order (lut, dff, dsp, bram),
+            # with `ratio > worst` doing what max(worst, ratio) does
+            if (lut <= cap_lut and dff <= cap_dff
+                    and dsp <= cap_dsp and bram <= cap_bram):
+                return 0.0
+            worst = 0.0
+            if lut != 0:
+                if cap_lut == 0:
+                    return penalty * inf
+                ratio = lut / cap_lut
+                if ratio > worst:
+                    worst = ratio
+            if dff != 0:
+                if cap_dff == 0:
+                    return penalty * inf
+                ratio = dff / cap_dff
+                if ratio > worst:
+                    worst = ratio
+            if dsp != 0:
+                if cap_dsp == 0:
+                    return penalty * inf
+                ratio = dsp / cap_dsp
+                if ratio > worst:
+                    worst = ratio
+            if bram != 0:
+                if cap_bram == 0:
+                    return penalty * inf
+                ratio = bram / cap_bram
+                if ratio > worst:
+                    worst = ratio
+            return penalty * worst
 
-        def move_term(i: int, b: int) -> float:
-            return (aspect * abs(cx[b] - px[i]) + abs(cy[b] - py[i])) / n
+        terms = [overflow(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
+                 for b in range(num_blocks)]
 
+        def rescore(b: int) -> int:
+            # refresh block b's cached term; returns the change in `hot`
+            t = overflow(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
+            change = (1 if t else 0) - (1 if terms[b] else 0)
+            terms[b] = t
+            return change
+
+        #: blocks with a non-zero term
+        hot = 0
+        total = 0.0
+        for t in terms:
+            if t:
+                hot += 1
+                total += t
         move_total = 0.0
         for i in range(n):
-            move_total += move_term(i, assignment[i])
-        cost = move_total + overflow_term()
+            move_total += move_cost[i][assignment[i]]
+        cost = move_total + total / num_blocks
 
+        k_clusters = n.bit_length()
+        k_blocks = num_blocks.bit_length()
         temperature = self.sa_t0
         cooling = 0.995
         for _ in range(self.sa_moves):
-            i = rng.randrange(n)
+            i = getrandbits(k_clusters)
+            while i >= n:
+                i = getrandbits(k_clusters)
             old_b = assignment[i]
-            new_b = rng.randrange(num_blocks)
+            new_b = getrandbits(k_blocks)
+            while new_b >= num_blocks:
+                new_b = getrandbits(k_blocks)
             if new_b == old_b:
                 continue
             lut, dff, dsp, bram = r_lut[i], r_dff[i], r_dsp[i], r_bram[i]
-            u_lut[old_b] -= lut
-            u_dff[old_b] -= dff
-            u_dsp[old_b] -= dsp
-            u_bram[old_b] -= bram
-            u_lut[new_b] += lut
-            u_dff[new_b] += dff
-            u_dsp[new_b] += dsp
-            u_bram[new_b] += bram
-            new_move_total = (move_total - move_term(i, old_b)
-                              + move_term(i, new_b))
-            new_cost = new_move_total + overflow_term()
+            o_lut = u_lut[old_b] - lut
+            o_dff = u_dff[old_b] - dff
+            o_dsp = u_dsp[old_b] - dsp
+            o_bram = u_bram[old_b] - bram
+            n_lut = u_lut[new_b] + lut
+            n_dff = u_dff[new_b] + dff
+            n_dsp = u_dsp[new_b] + dsp
+            n_bram = u_bram[new_b] + bram
+            t_old = overflow(o_lut, o_dff, o_dsp, o_bram)
+            t_new = overflow(n_lut, n_dff, n_dsp, n_bram)
+            row = move_cost[i]
+            new_move_total = move_total - row[old_b] + row[new_b]
+            total = 0.0
+            if hot - (1 if terms[old_b] else 0) \
+                    - (1 if terms[new_b] else 0):
+                for b in range(num_blocks):
+                    t = t_old if b == old_b else \
+                        t_new if b == new_b else terms[b]
+                    if t:
+                        total += t
+            else:  # only the two touched blocks; two terms commute
+                if t_old:
+                    total += t_old
+                if t_new:
+                    total += t_new
+            new_cost = new_move_total + total / num_blocks
             delta = new_cost - cost
-            if delta <= 0 or rng.random() < math.exp(
-                    -delta / max(temperature, 1e-9)):
+            if delta <= 0 or random_() < exp(
+                    -delta / (1e-9 if 1e-9 > temperature else temperature)):
                 assignment[i] = new_b
                 move_total = new_move_total
                 cost = new_cost
+                u_lut[old_b], u_dff[old_b] = o_lut, o_dff
+                u_dsp[old_b], u_bram[old_b] = o_dsp, o_bram
+                u_lut[new_b], u_dff[new_b] = n_lut, n_dff
+                u_dsp[new_b], u_bram[new_b] = n_dsp, n_bram
+                hot += (1 if t_old else 0) - (1 if terms[old_b] else 0) \
+                    + (1 if t_new else 0) - (1 if terms[new_b] else 0)
+                terms[old_b] = t_old
+                terms[new_b] = t_new
             else:
-                u_lut[old_b] += lut
-                u_dff[old_b] += dff
-                u_dsp[old_b] += dsp
-                u_bram[old_b] += bram
-                u_lut[new_b] -= lut
-                u_dff[new_b] -= dff
-                u_dsp[new_b] -= dsp
-                u_bram[new_b] -= bram
+                # the undo writes back (u - r) + r and (u + r) - r, which
+                # can round away from u; rescore a block only if it did
+                a_lut, a_dff = o_lut + lut, o_dff + dff
+                a_dsp, a_bram = o_dsp + dsp, o_bram + bram
+                changed = (a_lut != u_lut[old_b] or a_dff != u_dff[old_b]
+                           or a_dsp != u_dsp[old_b]
+                           or a_bram != u_bram[old_b])
+                u_lut[old_b], u_dff[old_b] = a_lut, a_dff
+                u_dsp[old_b], u_bram[old_b] = a_dsp, a_bram
+                if changed:
+                    hot += rescore(old_b)
+                a_lut, a_dff = n_lut - lut, n_dff - dff
+                a_dsp, a_bram = n_dsp - dsp, n_bram - bram
+                changed = (a_lut != u_lut[new_b] or a_dff != u_dff[new_b]
+                           or a_dsp != u_dsp[new_b]
+                           or a_bram != u_bram[new_b])
+                u_lut[new_b], u_dff[new_b] = a_lut, a_dff
+                u_dsp[new_b], u_bram[new_b] = a_dsp, a_bram
+                if changed:
+                    hot += rescore(new_b)
             temperature *= cooling
 
         usage = [ResourceVector(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
@@ -431,10 +504,11 @@ class QuadraticPlacer:
                               + (y - cy[jb]) ** 2)
             return total
 
+        neighbors = [grid.neighbors(b) for b in range(grid.num_blocks)]
         for i in range(len(clusters)):
             here = assignment[i]
             best_block, best_cost = here, star_cost(i, here)
-            for cand in grid.neighbors(here):
+            for cand in neighbors[here]:
                 new_usage = usage[cand] + clusters[i].resources
                 if not new_usage.fits_in(grid.capacity):
                     continue

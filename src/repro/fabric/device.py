@@ -135,10 +135,16 @@ class Die:
             kinds = self.columns[columns]
         else:
             kinds = tuple(self.columns[i] for i in columns)
-        total = ResourceVector.zero()
+        # the same per-column products and column-order additions as
+        # summing ``TILE_YIELD[kind] * tile_rows`` vectors, unallocated
+        lut = dff = dsp = bram_mb = 0.0
         for kind in kinds:
-            total = total + TILE_YIELD[kind] * tile_rows
-        return total
+            tile = TILE_YIELD[kind]
+            lut += tile.lut * tile_rows
+            dff += tile.dff * tile_rows
+            dsp += tile.dsp * tile_rows
+            bram_mb += tile.bram_mb * tile_rows
+        return ResourceVector(lut, dff, dsp, bram_mb)
 
     def total_resources(self) -> ResourceVector:
         return self.resources_of_slice(self.tile_rows)

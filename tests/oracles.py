@@ -11,17 +11,28 @@ run-time switches, and are kept deliberately plain:
   round, round 1 included, on the scalar branch-and-bound;
 - :class:`ExhaustivePolicy` -- every board subset of every round;
 - :class:`RescanResourceDB` -- every query rescans the block table;
-- :func:`scalar_split` -- the dict/set walk of the block-split greedy.
+- :func:`scalar_split` -- the dict/set walk of the block-split greedy;
+- :class:`ReferencePlacer` -- SA legalization that rescans every block's
+  overflow and calls ``randrange`` on every move;
+- :func:`vector_slice_resources` -- a die slice's resources summed as one
+  :class:`ResourceVector` per column.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Any
 from unittest import mock
 
+import numpy as np
+
+from repro.compiler.packing import Cluster
+from repro.compiler.placement import QuadraticPlacer
+from repro.fabric.device import TILE_YIELD, Die
+from repro.fabric.resources import ResourceVector
 from repro.runtime.policy import CommunicationAwarePolicy, \
     _build_placement
 from repro.runtime.resource_db import BlockState, ResourceDB
@@ -238,3 +249,153 @@ def scalar_split(app, quotas: list[tuple[int, int]]) -> dict[int, int]:
                 unassigned_flow[other] -= w
                 group_flow[other] += w
     return assignment
+
+
+class ReferencePlacer(QuadraticPlacer):
+    """The legalization that rescans every block's overflow per move."""
+
+    def _legalize(self, clusters: list[Cluster], positions: np.ndarray,
+                  edges: dict[tuple[int, int], float]) -> list[int]:
+        """SA legalization with the Eq. 3 cost, then greedy refinement.
+
+        The inner loop runs ``sa_moves`` times per placement iteration and
+        dominated the whole compile in profiles, almost entirely in
+        :class:`ResourceVector` allocation and property recomputation.  It
+        therefore works on flat per-component float arrays, performing the
+        exact same IEEE operations in the same order as the vector algebra
+        it replaces -- accept/reject decisions, and hence results, are
+        bit-identical to the original formulation.
+        """
+        n = len(clusters)
+        grid = self.grid
+        num_blocks = grid.num_blocks
+        cols = grid.cols
+        aspect = grid.aspect_ratio
+        penalty = self.overflow_penalty
+        rng = self.rng
+        inf = math.inf
+
+        # per-block cell centers and per-cluster demand/position, unpacked
+        # once so the loop touches only local floats
+        cx = [b % cols + 0.5 for b in range(num_blocks)]
+        cy = [b // cols + 0.5 for b in range(num_blocks)]
+        px = [float(positions[i][0]) for i in range(n)]
+        py = [float(positions[i][1]) for i in range(n)]
+        r_lut = [c.resources.lut for c in clusters]
+        r_dff = [c.resources.dff for c in clusters]
+        r_dsp = [c.resources.dsp for c in clusters]
+        r_bram = [c.resources.bram_mb for c in clusters]
+        cap = grid.capacity
+        cap_lut, cap_dff = cap.lut, cap.dff
+        cap_dsp, cap_bram = cap.dsp, cap.bram_mb
+
+        assignment = [grid.nearest_block(px[i], py[i]) for i in range(n)]
+        u_lut = [0.0] * num_blocks
+        u_dff = [0.0] * num_blocks
+        u_dsp = [0.0] * num_blocks
+        u_bram = [0.0] * num_blocks
+        for i, b in enumerate(assignment):
+            u_lut[b] += r_lut[i]
+            u_dff[b] += r_dff[i]
+            u_dsp[b] += r_dsp[i]
+            u_bram[b] += r_bram[i]
+
+        def overflow_term() -> float:
+            # mirrors ResourceVector.fits_in / utilization_of, component
+            # order preserved (lut, dff, dsp, bram) for identical floats
+            total = 0.0
+            for b in range(num_blocks):
+                lut, dff = u_lut[b], u_dff[b]
+                dsp, bram = u_dsp[b], u_bram[b]
+                if (lut <= cap_lut and dff <= cap_dff
+                        and dsp <= cap_dsp and bram <= cap_bram):
+                    continue
+                worst = 0.0
+                if lut != 0:
+                    if cap_lut == 0:
+                        total += penalty * inf
+                        continue
+                    worst = max(worst, lut / cap_lut)
+                if dff != 0:
+                    if cap_dff == 0:
+                        total += penalty * inf
+                        continue
+                    worst = max(worst, dff / cap_dff)
+                if dsp != 0:
+                    if cap_dsp == 0:
+                        total += penalty * inf
+                        continue
+                    worst = max(worst, dsp / cap_dsp)
+                if bram != 0:
+                    if cap_bram == 0:
+                        total += penalty * inf
+                        continue
+                    worst = max(worst, bram / cap_bram)
+                total += penalty * worst
+            return total / num_blocks
+
+        def move_term(i: int, b: int) -> float:
+            return (aspect * abs(cx[b] - px[i]) + abs(cy[b] - py[i])) / n
+
+        move_total = 0.0
+        for i in range(n):
+            move_total += move_term(i, assignment[i])
+        cost = move_total + overflow_term()
+
+        temperature = self.sa_t0
+        cooling = 0.995
+        for _ in range(self.sa_moves):
+            i = rng.randrange(n)
+            old_b = assignment[i]
+            new_b = rng.randrange(num_blocks)
+            if new_b == old_b:
+                continue
+            lut, dff, dsp, bram = r_lut[i], r_dff[i], r_dsp[i], r_bram[i]
+            u_lut[old_b] -= lut
+            u_dff[old_b] -= dff
+            u_dsp[old_b] -= dsp
+            u_bram[old_b] -= bram
+            u_lut[new_b] += lut
+            u_dff[new_b] += dff
+            u_dsp[new_b] += dsp
+            u_bram[new_b] += bram
+            new_move_total = (move_total - move_term(i, old_b)
+                              + move_term(i, new_b))
+            new_cost = new_move_total + overflow_term()
+            delta = new_cost - cost
+            if delta <= 0 or rng.random() < math.exp(
+                    -delta / max(temperature, 1e-9)):
+                assignment[i] = new_b
+                move_total = new_move_total
+                cost = new_cost
+            else:
+                u_lut[old_b] += lut
+                u_dff[old_b] += dff
+                u_dsp[old_b] += dsp
+                u_bram[old_b] += bram
+                u_lut[new_b] -= lut
+                u_dff[new_b] -= dff
+                u_dsp[new_b] -= dsp
+                u_bram[new_b] -= bram
+            temperature *= cooling
+
+        usage = [ResourceVector(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
+                 for b in range(num_blocks)]
+        self._refine(clusters, assignment, usage, edges)
+        return assignment
+
+
+def vector_slice_resources(die: Die, tile_rows: int,
+                           columns: "slice | list[int] | None" = None,
+                           ) -> ResourceVector:
+    """``Die.resources_of_slice`` as a sum of per-column vectors."""
+    if columns is None:
+        kinds = die.columns
+    elif isinstance(columns, slice):
+        kinds = die.columns[columns]
+    else:
+        kinds = tuple(die.columns[i] for i in columns)
+    total = ResourceVector.zero()
+    for kind in kinds:
+        total = total + TILE_YIELD[kind] * tile_rows
+    return total

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -553,3 +558,50 @@ class TestBenchCommand:
                      "--metric", "wall_s"]) == 2
         assert main(["bench", "append", str(path), "--anchor", "x",
                      "--metric", "wall_s=fast"]) == 2
+
+
+class TestNumericBounds:
+    """Counts and intervals that cannot be right are argparse errors:
+    exit code 2 and an ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--boards", "0"],
+        ["simulate", "--requests", "-3"],
+        ["simulate", "--interarrival", "-1"],
+        ["simulate", "--interarrival", "nan"],
+        ["simulate", "--interval", "0"],
+        ["status", "--boards", "0"],
+        ["fail-board", "0", "--boards", "0"],
+        ["repair-board", "0", "--boards", "-1"],
+        ["trace", "x.json", "--requests", "0"],
+        ["trace", "x.json", "--interarrival", "0"],
+        ["compile", "--all", "--jobs", "0"],
+        ["campaign", "--jobs", "0"],
+        ["campaign", "--requests", "0"],
+        ["simulate", "--boards", "two"],
+    ])
+    def test_rejected_with_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_positive_values_still_parse(self):
+        args = build_parser().parse_args(
+            ["simulate", "--boards", "1", "--requests", "1",
+             "--interarrival", "0.5", "--interval", "2.5"])
+        assert (args.boards, args.requests) == (1, 1)
+        assert (args.interarrival, args.bucket_s) == (0.5, 2.5)
+
+    def test_process_exit_code(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--boards", "0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -10,7 +10,10 @@ from repro.fabric.device import (
     TILE_YIELD,
     expand_pattern,
 )
+from repro.fabric.devices import make_vu13p, make_xcvu37p
 from repro.fabric.resources import ResourceVector
+
+from tests.oracles import vector_slice_resources
 
 
 def small_die(index=0, rows=24, cr_rows=2):
@@ -127,3 +130,19 @@ class TestTileYield:
 
     def test_io_yields_nothing(self):
         assert TILE_YIELD[ColumnType.IO] == ResourceVector.zero()
+
+
+class TestSliceSumMatchesOracle:
+    """``resources_of_slice`` adds the same per-column products in the
+    same column order as summing one vector per column, so the floats
+    are identical, not just close."""
+
+    @pytest.mark.parametrize("make", [make_xcvu37p, make_vu13p])
+    @pytest.mark.parametrize("columns", [
+        None, slice(3, 117), slice(None, None, 5),
+        [0, 7, 19, 40, 41, 42, 100, 150], [200, 3, 77, 11]])
+    def test_exactly_equal(self, make, columns):
+        for die in make().dies:
+            for rows in (1, 48, 97, die.tile_rows):
+                assert die.resources_of_slice(rows, columns) \
+                    == vector_slice_resources(die, rows, columns)
